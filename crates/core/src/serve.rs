@@ -21,6 +21,7 @@
 //! are all real.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use notebookos_cluster::{Cluster, HostId, ResourceBundle, ResourceRequest};
 use notebookos_des::SimTime;
@@ -209,10 +210,11 @@ pub struct SessionExport {
     pub route: KernelRoute,
 }
 
-/// A fanned-out execution awaiting its completion deadline.
+/// A fanned-out execution awaiting its completion deadline. `request` is
+/// the decoded request itself, which the executor's routed copy shares.
 #[derive(Debug)]
 struct PendingExecution {
-    request: JupyterMessage,
+    request: Arc<JupyterMessage>,
     identities: Vec<Bytes>,
     designated: u32,
     execution_count: u64,
@@ -407,8 +409,12 @@ impl LiveGateway {
         // Rotate the designated executor across replicas — the live
         // stand-in for the §3.2.2 election the DES models in detail.
         let designated = ((execution_count - 1) % u64::from(self.replication_factor)) as u32;
-        let copies = self.router.route_execute(&message, Some(designated)).ok()?;
-        let fan_out = copies.len();
+        let message = Arc::new(message);
+        let fan_out = self
+            .router
+            .route_execute(&message, Some(designated))
+            .ok()?
+            .len();
         let msg_id = message.header.msg_id.clone();
         self.pending.insert(
             msg_id.clone(),

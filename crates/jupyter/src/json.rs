@@ -6,9 +6,18 @@
 //! numbers, booleans, null) from scratch: a recursive-descent parser and a
 //! canonical encoder (object keys sorted, which `BTreeMap` gives us for
 //! free).
+//!
+//! Both directions make one pass per string byte. The encoder copies each
+//! run of characters that needs no escape with a single `push_str`, and
+//! the parser appends each run between `"` and `\` as one slice of its
+//! input. The encoded bytes are the same as escaping one character at a
+//! time, so wire signatures over them do not change. Non-finite numbers
+//! encode as `null`, since JSON has no NaN or infinity. A `\u` surrogate
+//! pair decodes to the one scalar it encodes; a lone surrogate decodes to
+//! U+FFFD.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,9 +107,26 @@ impl Json {
 
     /// Encodes to compact JSON text.
     pub fn encode(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::with_capacity(self.len_hint());
         encode_into(self, &mut s);
         s
+    }
+
+    /// A cheap estimate of the encoded length (exact for escape-free
+    /// strings and short numbers), used to size the output buffer once.
+    pub(crate) fn len_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Num(_) => 8,
+            Json::Str(s) => s.len() + 2,
+            Json::Arr(items) => 2 + items.iter().map(|v| v.len_hint() + 1).sum::<usize>(),
+            Json::Obj(map) => {
+                2 + map
+                    .iter()
+                    .map(|(k, v)| k.len() + 4 + v.len_hint())
+                    .sum::<usize>()
+            }
+        }
     }
 
     /// Parses JSON text.
@@ -110,6 +136,7 @@ impl Json {
     /// Returns a [`JsonError`] describing the first syntax problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -194,18 +221,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn encode_into(value: &Json, out: &mut String) {
+pub(crate) fn encode_into(value: &Json, out: &mut String) {
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
+        Json::Num(n) => encode_num(*n, out),
         Json::Str(s) => encode_string(s, out),
         Json::Arr(items) => {
             out.push('[');
@@ -232,23 +253,74 @@ fn encode_into(value: &Json, out: &mut String) {
     }
 }
 
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes a number: integral values below 9e15 in integer form, other
+/// finite values in Rust's shortest round-trip form, and NaN and ±∞ as
+/// `null`.
+pub(crate) fn encode_num(n: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = if !n.is_finite() {
+        out.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
+/// The length of the longest prefix of `bytes` holding no `"`, no `\`
+/// and, with `controls`, no byte below 0x20. Eight bytes are tested at a
+/// time with word arithmetic, then the word that holds the stop byte is
+/// searched byte by byte.
+fn plain_run(bytes: &[u8], controls: bool) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // Nonzero iff some byte of `w` is below `n` (exact for n <= 0x80).
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    let has = |w: u64, b: u8| below(w ^ (ONES * u64::from(b)), 1) != 0;
+    let mut len = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks are 8 bytes"));
+        if has(w, b'"') || has(w, b'\\') || (controls && below(w, 0x20) != 0) {
+            break;
         }
+        len += 8;
+    }
+    len + bytes[len..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+        .unwrap_or(bytes.len() - len)
+}
+
+/// Writes `s` as a quoted JSON string. Runs of characters that need no
+/// escape are copied whole; only `"`, `\` and control characters are
+/// escaped. Every escaped character is ASCII, so each run boundary is a
+/// char boundary.
+pub(crate) fn encode_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    loop {
+        let i = run + plain_run(&bytes[run..], true);
+        out.push_str(&s[run..i]);
+        let Some(&b) = bytes.get(i) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -313,10 +385,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` as one slice: both are
+            // ASCII, so the run ends on a char boundary of the input.
+            let run = self.pos;
+            self.pos += plain_run(&self.bytes[run..], false);
+            s.push_str(&self.text[run..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.bump() {
+                _ => match self.bump() {
                     Some(b'"') => s.push('"'),
                     Some(b'\\') => s.push('\\'),
                     Some(b'/') => s.push('/'),
@@ -326,38 +403,45 @@ impl<'a> Parser<'a> {
                     Some(b'b') => s.push('\u{8}'),
                     Some(b'f') => s.push('\u{c}'),
                     Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or_else(|| self.err("bad \\u escape"))?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| self.err("bad hex digit"))?;
-                        }
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = self.hex4()?;
+                        s.push(self.scalar(code));
                     }
                     _ => return Err(self.err("bad escape")),
                 },
-                Some(b) if b < 0x80 => s.push(b as char),
-                Some(b) => {
-                    // Re-decode the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid utf-8")),
-                    };
-                    if start + len > self.bytes.len() {
-                        return Err(self.err("truncated utf-8"));
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    s.push_str(chunk);
-                    self.pos = start + len;
-                }
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self.bump().ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16
+                + (d as char)
+                    .to_digit(16)
+                    .ok_or_else(|| self.err("bad hex digit"))?;
+        }
+        Ok(code)
+    }
+
+    /// The scalar a `\u` escape with value `code` stands for. A high
+    /// surrogate directly followed by a `\u` low surrogate combines with
+    /// it (RFC 8259 §7); any other surrogate becomes U+FFFD.
+    fn scalar(&mut self, code: u32) -> char {
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            match self.hex4() {
+                Ok(low @ 0xDC00..=0xDFFF) => {
+                    let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    return char::from_u32(combined).expect("a surrogate pair is a scalar");
+                }
+                // Not a low surrogate: leave that escape for the caller.
+                _ => self.pos = resume,
+            }
+        }
+        char::from_u32(code).unwrap_or('\u{fffd}')
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -436,8 +520,43 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The char-at-a-time string encoder `encode_string` replaced, kept as
+    /// the oracle its output must equal.
+    fn encode_string_oracle(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Strings mixing printable ASCII, multi-byte code points, control
+    /// characters, quotes and backslashes, so runs start and end at UTF-8
+    /// and escape boundaries.
+    pub(crate) fn arb_text(max_len: usize) -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            6 => any::<char>(),
+            2 => (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control character")),
+            1 => Just('"'),
+            1 => Just('\\'),
+            1 => (0x80u32..0xD800).prop_map(|c| char::from_u32(c).expect("below surrogates")),
+            1 => (0x10000u32..0x110000).prop_map(|c| char::from_u32(c).expect("astral plane")),
+        ];
+        proptest::collection::vec(ch, 0..max_len).prop_map(|cs| cs.into_iter().collect())
+    }
 
     fn round_trip(text: &str) -> String {
         Json::parse(text).unwrap().encode()
@@ -485,6 +604,33 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let pair = Json::parse(r#""a\ud83d\ude00b""#).unwrap();
+        assert_eq!(pair.as_str(), Some("a\u{1F600}b"));
+        let lone_high = Json::parse(r#""\ud83dx""#).unwrap();
+        assert_eq!(lone_high.as_str(), Some("\u{fffd}x"));
+        let lone_low = Json::parse(r#""\ude00""#).unwrap();
+        assert_eq!(lone_low.as_str(), Some("\u{fffd}"));
+        // A high surrogate before a non-surrogate escape keeps that escape.
+        let high_then_bmp = Json::parse(r#""\ud83d\u0041""#).unwrap();
+        assert_eq!(high_then_bmp.as_str(), Some("\u{fffd}A"));
+        let high_then_high = Json::parse(r#""\ud83d\ud83d\ude00""#).unwrap();
+        assert_eq!(high_then_high.as_str(), Some("\u{fffd}\u{1F600}"));
+        assert!(Json::parse(r#""\ud83d\u00""#).is_err(), "truncated escape");
+    }
+
+    #[test]
+    fn non_finite_numbers_encode_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Json::object().with("x", n).encode();
+            assert_eq!(text, "{\"x\":null}");
+            assert_eq!(Json::parse(&text).unwrap().get("x"), Some(&Json::Null));
+        }
+        assert_eq!(Json::Num(-0.5).encode(), "-0.5");
+        assert_eq!(Json::Num(1e300).encode(), format!("{}", 1e300));
+    }
+
+    #[test]
     fn numbers_with_exponents() {
         assert_eq!(Json::parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(Json::parse("2.5E-1").unwrap().as_f64(), Some(0.25));
@@ -521,6 +667,37 @@ mod tests {
     fn display_matches_encode() {
         let v = Json::object().with("k", 1u64);
         assert_eq!(format!("{v}"), v.encode());
+    }
+
+    #[test]
+    fn plain_run_stops_at_the_first_special_byte_in_any_word_position() {
+        for stop in [b'"', b'\\', b'\n', 0x00, 0x1f] {
+            for at in 0..24 {
+                let mut bytes = vec![b'a'; 30];
+                bytes[at] = stop;
+                bytes[at + 3] = b'"';
+                assert_eq!(plain_run(&bytes, true), at, "stop {stop:#x} at {at}");
+                // Without `controls`, a control byte is part of the run.
+                let want = if stop < 0x20 { at + 3 } else { at };
+                assert_eq!(plain_run(&bytes, false), want, "stop {stop:#x} at {at}");
+            }
+        }
+        let plain = "é☃😀 \u{7f}".repeat(5);
+        assert_eq!(plain_run(plain.as_bytes(), true), plain.len());
+        assert_eq!(plain_run(b"", true), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn encode_string_matches_char_at_a_time_oracle(s in arb_text(64)) {
+            let mut fast = String::new();
+            encode_string(&s, &mut fast);
+            let mut oracle = String::new();
+            encode_string_oracle(&s, &mut oracle);
+            prop_assert_eq!(&fast, &oracle);
+            let parsed = Json::parse(&fast).expect("encoded strings parse");
+            prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

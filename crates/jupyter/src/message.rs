@@ -6,9 +6,10 @@
 //! NotebookOS-specific `yield_request` conversion (§3.2.2), kernel-info and
 //! shutdown messages, and status updates.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::Json;
+use crate::json::{encode_num, encode_string, Json};
 
 /// Protocol version stamped into every header.
 pub const PROTOCOL_VERSION: &str = "5.4";
@@ -123,17 +124,42 @@ impl Header {
             .with("date", self.date_us)
     }
 
-    /// Parses from the protocol's JSON dict.
+    /// Writes the protocol's JSON dict into `out`: the same bytes as
+    /// `self.to_json().encode()`, keys in the same sorted order, without
+    /// building the tree.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"date\":");
+        encode_num(self.date_us as f64, out);
+        for (key, value) in [
+            ("msg_id", self.msg_id.as_str()),
+            ("msg_type", self.msg_type.as_str()),
+            ("session", self.session.as_str()),
+            ("username", self.username.as_str()),
+            ("version", self.version.as_str()),
+        ] {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            encode_string(value, out);
+        }
+        out.push('}');
+    }
+
+    /// Parses from the protocol's JSON dict, moving its strings out of the
+    /// tree.
     ///
     /// # Errors
     ///
     /// Returns a description of the missing/invalid field.
-    pub fn from_json(v: &Json) -> Result<Header, String> {
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("header missing `{k}`"))
+    pub fn from_json(v: Json) -> Result<Header, String> {
+        let mut map = match v {
+            Json::Obj(map) => map,
+            _ => BTreeMap::new(),
+        };
+        let date_us = map.get("date").and_then(Json::as_u64).unwrap_or(0);
+        let mut field = |k: &str| match map.remove(k) {
+            Some(Json::Str(s)) => Ok(s),
+            _ => Err(format!("header missing `{k}`")),
         };
         let msg_type_raw = field("msg_type")?;
         Ok(Header {
@@ -143,7 +169,7 @@ impl Header {
             msg_type: MsgType::parse_wire(&msg_type_raw)
                 .ok_or_else(|| format!("unknown msg_type `{msg_type_raw}`"))?,
             version: field("version")?,
-            date_us: v.get("date").and_then(Json::as_u64).unwrap_or(0),
+            date_us,
         })
     }
 }
@@ -302,19 +328,23 @@ impl ReplyStatus {
 /// Preference order: the executor's reply (metadata `executed: true`), then
 /// any successful reply, then the first reply.
 ///
-/// Returns `None` when `replies` is empty.
-pub fn merge_replies(replies: &[JupyterMessage]) -> Option<JupyterMessage> {
-    replies
+/// The winner is moved out of `replies`, not cloned. Returns `None` when
+/// `replies` is empty.
+pub fn merge_replies(mut replies: Vec<JupyterMessage>) -> Option<JupyterMessage> {
+    let winner = replies
         .iter()
-        .find(|r| r.metadata.get("executed").and_then(Json::as_bool) == Some(true))
-        .or_else(|| replies.iter().find(|r| r.is_ok_reply()))
-        .or_else(|| replies.first())
-        .cloned()
+        .position(|r| r.metadata.get("executed").and_then(Json::as_bool) == Some(true))
+        .or_else(|| replies.iter().position(JupyterMessage::is_ok_reply))
+        .or((!replies.is_empty()).then_some(0))?;
+    Some(replies.swap_remove(winner))
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::json::tests::arb_text;
 
     fn request() -> JupyterMessage {
         JupyterMessage::execute_request("m1", "sess-1", "model.fit()", 123)
@@ -341,18 +371,40 @@ mod tests {
     #[test]
     fn header_json_round_trips() {
         let h = Header::new("m1", "s1", MsgType::ExecuteRequest, 42);
-        let parsed = Header::from_json(&h.to_json()).unwrap();
+        let parsed = Header::from_json(h.to_json()).unwrap();
         assert_eq!(parsed, h);
     }
 
     #[test]
     fn header_json_rejects_missing_fields() {
         let bad = Json::object().with("msg_id", "x");
-        assert!(Header::from_json(&bad).is_err());
+        assert_eq!(
+            Header::from_json(bad).unwrap_err(),
+            "header missing `msg_type`"
+        );
         let bad_type = Header::new("m", "s", MsgType::Status, 0)
             .to_json()
             .with("msg_type", "nope");
-        assert!(Header::from_json(&bad_type).is_err());
+        assert_eq!(
+            Header::from_json(bad_type).unwrap_err(),
+            "unknown msg_type `nope`"
+        );
+        assert!(Header::from_json(Json::Null).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn header_writer_matches_json_tree(
+            msg_id in arb_text(24),
+            session in arb_text(24),
+            date in prop_oneof![0u64..1_000_000, any::<u64>()],
+        ) {
+            let mut h = Header::new(msg_id, session, MsgType::ExecuteReply, date);
+            h.username = "user \"q\" \\ \u{1}".to_string();
+            let mut written = String::new();
+            h.write_json(&mut written);
+            prop_assert_eq!(written, h.to_json().encode());
+        }
     }
 
     #[test]
@@ -404,15 +456,16 @@ mod tests {
         let standby1 = m.execute_reply("r1", ReplyStatus::Ok, 1, false, 10);
         let executor = m.execute_reply("r2", ReplyStatus::Ok, 1, true, 11);
         let standby2 = m.execute_reply("r3", ReplyStatus::Ok, 1, false, 12);
-        let merged = merge_replies(&[standby1.clone(), executor.clone(), standby2]).unwrap();
-        assert_eq!(merged.header.msg_id, "r2");
+        let merged = merge_replies(vec![standby1.clone(), executor.clone(), standby2]).unwrap();
+        assert_eq!(merged, executor);
         // Without an executor flag, falls back to any ok reply.
         let err = m.execute_reply("r4", ReplyStatus::Error, 1, false, 13);
-        let merged = merge_replies(&[err.clone(), standby1.clone()]).unwrap();
+        let merged = merge_replies(vec![err.clone(), standby1.clone()]).unwrap();
         assert_eq!(merged.header.msg_id, "r1");
         // All errors: first wins.
-        let merged = merge_replies(std::slice::from_ref(&err)).unwrap();
+        let err2 = m.execute_reply("r5", ReplyStatus::Error, 1, false, 14);
+        let merged = merge_replies(vec![err, err2]).unwrap();
         assert_eq!(merged.header.msg_id, "r4");
-        assert!(merge_replies(&[]).is_none());
+        assert!(merge_replies(Vec::new()).is_none());
     }
 }

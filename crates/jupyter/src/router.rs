@@ -6,8 +6,14 @@
 //! the designated executor's copy into a `yield_request`. Replies flow the
 //! other way and are aggregated (step 9 of Fig. 5). This module implements
 //! that routing table and the fan-out/fan-in bookkeeping.
+//!
+//! Fan-out copies share their payload: the executor's copy is the caller's
+//! own request, and every `yield_request` copy shares one conversion, so
+//! routing a request to R replicas deep-copies it at most once. Fan-in
+//! hands the winning reply over without copying it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::message::{merge_replies, JupyterMessage, MsgType};
 
@@ -29,8 +35,9 @@ pub struct RoutedCopy {
     /// Replica index at that destination.
     pub replica: u32,
     /// The message to deliver (converted to `yield_request` for
-    /// non-designated replicas when a designation is supplied).
-    pub message: JupyterMessage,
+    /// non-designated replicas when a designation is supplied), shared
+    /// with the other copies of the same kind.
+    pub message: Arc<JupyterMessage>,
 }
 
 /// Errors from routing operations.
@@ -137,41 +144,44 @@ impl Router {
     /// designation is out of range.
     pub fn route_execute(
         &mut self,
-        message: &JupyterMessage,
+        message: &Arc<JupyterMessage>,
         designated_executor: Option<u32>,
     ) -> Result<Vec<RoutedCopy>, RouteError> {
         let kernel_id = message
             .destination()
-            .ok_or(RouteError::MissingDestination)?
-            .to_string();
+            .ok_or(RouteError::MissingDestination)?;
         let route = self
             .routes
-            .get(&kernel_id)
-            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.clone()))?;
+            .get(kernel_id)
+            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
         if let Some(i) = designated_executor {
             if i as usize >= route.replicas.len() {
                 return Err(RouteError::BadDesignation(i));
             }
         }
+        let mut yielded: Option<Arc<JupyterMessage>> = None;
         let copies: Vec<RoutedCopy> = route
             .replicas
             .iter()
             .enumerate()
             .map(|(idx, &to)| {
                 let is_executor = designated_executor.map_or(true, |d| d == idx as u32);
+                let message = if is_executor {
+                    message
+                } else {
+                    yielded.get_or_insert_with(|| Arc::new(message.to_yield_request()))
+                };
                 RoutedCopy {
                     to,
                     replica: idx as u32,
-                    message: if is_executor {
-                        message.clone()
-                    } else {
-                        message.to_yield_request()
-                    },
+                    message: Arc::clone(message),
                 }
             })
             .collect();
-        self.pending
-            .insert(message.header.msg_id.clone(), (copies.len(), Vec::new()));
+        self.pending.insert(
+            message.header.msg_id.clone(),
+            (copies.len(), Vec::with_capacity(copies.len())),
+        );
         Ok(copies)
     }
 
@@ -187,22 +197,23 @@ impl Router {
         &mut self,
         reply: JupyterMessage,
     ) -> Result<Option<JupyterMessage>, RouteError> {
-        let parent_id = reply
-            .parent
-            .as_ref()
-            .filter(|_| reply.header.msg_type == MsgType::ExecuteReply)
-            .map(|p| p.msg_id.clone())
-            .ok_or_else(|| RouteError::UnknownRequest(reply.header.msg_id.clone()))?;
+        let parent_id = match &reply.parent {
+            Some(parent) if reply.header.msg_type == MsgType::ExecuteReply => {
+                parent.msg_id.as_str()
+            }
+            _ => return Err(RouteError::UnknownRequest(reply.header.msg_id.clone())),
+        };
         let (expected, received) = self
             .pending
-            .get_mut(&parent_id)
-            .ok_or(RouteError::UnknownRequest(parent_id.clone()))?;
-        received.push(reply);
-        if received.len() >= *expected {
-            let (_, replies) = self.pending.remove(&parent_id).expect("just present");
-            return Ok(merge_replies(&replies));
+            .get_mut(parent_id)
+            .ok_or_else(|| RouteError::UnknownRequest(parent_id.to_string()))?;
+        if received.len() + 1 < *expected {
+            received.push(reply);
+            return Ok(None);
         }
-        Ok(None)
+        let (_, mut replies) = self.pending.remove(parent_id).expect("just present");
+        replies.push(reply);
+        Ok(merge_replies(replies))
     }
 
     /// Requests currently awaiting replies.
@@ -234,7 +245,8 @@ mod tests {
     #[test]
     fn fan_out_with_designation_converts_others() {
         let mut r = router();
-        let copies = r.route_execute(&request(), Some(1)).unwrap();
+        let req = Arc::new(request());
+        let copies = r.route_execute(&req, Some(1)).unwrap();
         assert_eq!(copies.len(), 3);
         assert_eq!(copies[1].message.header.msg_type, MsgType::ExecuteRequest);
         assert_eq!(copies[0].message.header.msg_type, MsgType::YieldRequest);
@@ -243,33 +255,36 @@ mod tests {
             copies.iter().map(|c| c.to).collect::<Vec<_>>(),
             vec![10, 20, 30]
         );
+        // The executor's copy is the caller's request; both yields share
+        // one conversion.
+        assert!(Arc::ptr_eq(&copies[1].message, &req));
+        assert!(Arc::ptr_eq(&copies[0].message, &copies[2].message));
         assert_eq!(r.pending_requests(), 1);
     }
 
     #[test]
     fn fan_out_without_designation_sends_originals() {
         let mut r = router();
-        let copies = r.route_execute(&request(), None).unwrap();
-        assert!(copies
-            .iter()
-            .all(|c| c.message.header.msg_type == MsgType::ExecuteRequest));
+        let req = Arc::new(request());
+        let copies = r.route_execute(&req, None).unwrap();
+        assert!(copies.iter().all(|c| Arc::ptr_eq(&c.message, &req)));
     }
 
     #[test]
     fn routing_errors() {
         let mut r = router();
-        let no_dest = JupyterMessage::execute_request("m2", "sess", "x", 0);
+        let no_dest = Arc::new(JupyterMessage::execute_request("m2", "sess", "x", 0));
         assert_eq!(
             r.route_execute(&no_dest, None).unwrap_err(),
             RouteError::MissingDestination
         );
-        let wrong = request().with_destination("ghost");
+        let wrong = Arc::new(request().with_destination("ghost"));
         assert!(matches!(
             r.route_execute(&wrong, None).unwrap_err(),
             RouteError::UnknownKernel(_)
         ));
         assert_eq!(
-            r.route_execute(&request(), Some(9)).unwrap_err(),
+            r.route_execute(&Arc::new(request()), Some(9)).unwrap_err(),
             RouteError::BadDesignation(9)
         );
     }
@@ -277,7 +292,7 @@ mod tests {
     #[test]
     fn reply_aggregation_waits_for_all_replicas() {
         let mut r = router();
-        let req = request();
+        let req = Arc::new(request());
         r.route_execute(&req, Some(0)).unwrap();
         let executor = req.execute_reply("r0", ReplyStatus::Ok, 1, true, 5);
         let s1 = req.execute_reply("r1", ReplyStatus::Ok, 1, false, 6);
@@ -298,7 +313,7 @@ mod tests {
             RouteError::UnknownRequest(_)
         ));
         // Non-reply messages are rejected too.
-        r.route_execute(&request(), None).unwrap();
+        r.route_execute(&Arc::new(request()), None).unwrap();
         let not_reply = request();
         assert!(r.accept_reply(not_reply).is_err());
     }

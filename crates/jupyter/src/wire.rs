@@ -8,15 +8,34 @@
 //! The signature is a keyed FNV-1a construction — **not** cryptographic
 //! (real Jupyter uses HMAC-SHA256; no crypto crate is available offline).
 //! It serves the same structural role: catching corruption and key
-//! mismatches in tests.
+//! mismatches in tests. Its two 64-bit lanes are computed together in a
+//! single pass over the key and the body bytes; the algorithm, and so
+//! every signature and every wire byte, is the same as when the lanes ran
+//! one after the other.
+//!
+//! Encoding makes one pass per payload byte: each body part is written
+//! once into a reused buffer (headers through a direct writer rather
+//! than a JSON tree), absorbed into the signature, and copied into its
+//! frame. Decoding verifies the signature without allocating and moves
+//! header strings out of the parsed tree. The Global Scheduler's fan-out
+//! ([`crate::router`]) shares one decoded payload between replica copies.
 
 use bytes::Bytes;
 
-use crate::json::Json;
+use crate::json::{encode_into, Json};
 use crate::message::{Header, JupyterMessage};
 
 /// The frame delimiter between routing identities and the message body.
 pub const DELIMITER: &[u8] = b"<IDS|MSG>";
+
+/// The `parent_header` part of a message without a parent.
+const NO_PARENT: &str = "{}";
+
+/// FNV-1a 64-bit offset bases of the two signature lanes.
+const LANE_OFFSETS: [u64; 2] = [0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142];
+
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Errors decoding a wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,53 +66,85 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Computes the keyed signature over the four JSON body parts.
-fn sign(key: &[u8], parts: &[&[u8]]) -> String {
-    // Keyed FNV-1a, 128 bits via two offsets. Documented as
-    // non-cryptographic in the module docs.
-    let mut lanes = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64];
-    for (lane_idx, lane) in lanes.iter_mut().enumerate() {
-        for chunk in [key, &[lane_idx as u8][..]]
-            .into_iter()
-            .chain(parts.iter().copied())
-        {
-            for &b in chunk {
-                *lane ^= b as u64;
-                *lane = lane.wrapping_mul(0x100_0000_01b3);
+/// The keyed signature, absorbed incrementally. Lane `i` is FNV-1a over
+/// the key, the byte `i`, and then every body part in order.
+struct Signer {
+    lanes: [u64; 2],
+}
+
+impl Signer {
+    fn new(key: &[u8]) -> Signer {
+        let mut signer = Signer {
+            lanes: LANE_OFFSETS,
+        };
+        signer.absorb(key);
+        for (i, lane) in signer.lanes.iter_mut().enumerate() {
+            *lane = (*lane ^ i as u64).wrapping_mul(FNV_PRIME);
+        }
+        signer
+    }
+
+    /// Feeds `bytes` to both lanes in one pass; the two multiply chains
+    /// are independent, so they overlap.
+    fn absorb(&mut self, bytes: &[u8]) {
+        let [mut a, mut b] = self.lanes;
+        for &x in bytes {
+            a = (a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+        }
+        self.lanes = [a, b];
+    }
+
+    /// The signature as 32 lowercase hex digits, lane 0 first.
+    fn finish(&self) -> [u8; 32] {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 32];
+        for (digits, lane) in out.chunks_exact_mut(16).zip(self.lanes) {
+            for (i, d) in digits.iter_mut().enumerate() {
+                *d = HEX[(lane >> (60 - 4 * i) & 0xf) as usize];
             }
         }
+        out
     }
-    format!("{:016x}{:016x}", lanes[0], lanes[1])
+}
+
+/// Computes the keyed signature over the four JSON body parts.
+fn sign(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
+    let mut signer = Signer::new(key);
+    for part in parts {
+        signer.absorb(part);
+    }
+    signer.finish()
 }
 
 /// Encodes a message (plus routing identities) into wire frames.
 pub fn encode(identities: &[Bytes], message: &JupyterMessage, key: &[u8]) -> Vec<Bytes> {
-    let header = message.header.to_json().encode();
-    let parent = message
-        .parent
-        .as_ref()
-        .map(|p| p.to_json().encode())
-        .unwrap_or_else(|| "{}".to_string());
-    let metadata = message.metadata.encode();
-    let content = message.content.encode();
-    let signature = sign(
-        key,
-        &[
-            header.as_bytes(),
-            parent.as_bytes(),
-            metadata.as_bytes(),
-            content.as_bytes(),
-        ],
-    );
-
     let mut frames = Vec::with_capacity(identities.len() + 6);
     frames.extend(identities.iter().cloned());
     frames.push(Bytes::from_static(DELIMITER));
-    frames.push(Bytes::from(signature));
-    frames.push(Bytes::from(header));
-    frames.push(Bytes::from(parent));
-    frames.push(Bytes::from(metadata));
-    frames.push(Bytes::from(content));
+    let signature_at = frames.len();
+    frames.push(Bytes::new());
+
+    let mut signer = Signer::new(key);
+    // One buffer, sized for the largest part, holds each part in turn.
+    let mut part = String::with_capacity(message.content.len_hint().max(256));
+    let mut emit = |part: &mut String| {
+        signer.absorb(part.as_bytes());
+        frames.push(Bytes::copy_from_slice(part.as_bytes()));
+        part.clear();
+    };
+    message.header.write_json(&mut part);
+    emit(&mut part);
+    match &message.parent {
+        Some(parent) => parent.write_json(&mut part),
+        None => part.push_str(NO_PARENT),
+    }
+    emit(&mut part);
+    encode_into(&message.metadata, &mut part);
+    emit(&mut part);
+    encode_into(&message.content, &mut part);
+    emit(&mut part);
+    frames[signature_at] = Bytes::copy_from_slice(&signer.finish());
     frames
 }
 
@@ -112,14 +163,8 @@ pub fn decode(frames: &[Bytes], key: &[u8]) -> Result<(Vec<Bytes>, JupyterMessag
     if frames.len() < delim + 6 {
         return Err(WireError::TooFewFrames);
     }
-    let identities = frames[..delim].to_vec();
-    let signature = &frames[delim + 1];
-    let body: Vec<&[u8]> = frames[delim + 2..delim + 6]
-        .iter()
-        .map(|b| b.as_ref())
-        .collect();
-    let expected = sign(key, &body);
-    if signature.as_ref() != expected.as_bytes() {
+    let body: [&[u8]; 4] = std::array::from_fn(|i| frames[delim + 2 + i].as_ref());
+    if frames[delim + 1].as_ref() != sign(key, &body) {
         return Err(WireError::BadSignature);
     }
     let parse = |bytes: &[u8]| -> Result<Json, WireError> {
@@ -130,13 +175,13 @@ pub fn decode(frames: &[Bytes], key: &[u8]) -> Result<(Vec<Bytes>, JupyterMessag
     let parent_json = parse(body[1])?;
     let metadata = parse(body[2])?;
     let content = parse(body[3])?;
-    let header = Header::from_json(&header_json).map_err(WireError::BadHeader)?;
-    let parent = match &parent_json {
+    let header = Header::from_json(header_json).map_err(WireError::BadHeader)?;
+    let parent = match parent_json {
         Json::Obj(map) if map.is_empty() => None,
         other => Some(Header::from_json(other).map_err(WireError::BadHeader)?),
     };
     Ok((
-        identities,
+        frames[..delim].to_vec(),
         JupyterMessage {
             header,
             parent,
@@ -148,10 +193,140 @@ pub fn decode(frames: &[Bytes], key: &[u8]) -> Result<(Vec<Bytes>, JupyterMessag
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::json::tests::arb_text;
     use crate::message::{JupyterMessage, MsgType, ReplyStatus};
 
     const KEY: &[u8] = b"test-key";
+
+    /// The byte-at-a-time, lane-after-lane signature `sign` replaced, kept
+    /// as the oracle its output must equal.
+    fn sign_oracle(key: &[u8], parts: &[&[u8]]) -> String {
+        let mut lanes = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64];
+        for (lane_idx, lane) in lanes.iter_mut().enumerate() {
+            for chunk in [key, &[lane_idx as u8][..]]
+                .into_iter()
+                .chain(parts.iter().copied())
+            {
+                for &b in chunk {
+                    *lane ^= b as u64;
+                    *lane = lane.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        format!("{:016x}{:016x}", lanes[0], lanes[1])
+    }
+
+    /// A fixed `execute_request` as the live gateway receives it: routing
+    /// identities, GPU ids, the cell-duration metadata, and a cell that
+    /// needs every kind of escape.
+    fn golden_request() -> JupyterMessage {
+        let code = "x = \"h\u{e9}llo \u{2603}\"\n\tprint(x, '\\\\') # \u{1F600}\u{1}\r";
+        let mut req = JupyterMessage::execute_request("msg-1", "session-7", code, 1_234_567)
+            .with_destination("kernel-session-7")
+            .with_gpu_device_ids(&[0, 3]);
+        req.metadata = req.metadata.with("duration_us", 250_000u64);
+        req
+    }
+
+    fn golden_identities() -> Vec<Bytes> {
+        vec![
+            Bytes::from_static(b"client-7"),
+            Bytes::from_static(b"route-2"),
+        ]
+    }
+
+    fn assert_frames(frames: &[Bytes], expected: [&str; 5]) {
+        let ids = golden_identities();
+        assert_eq!(frames.len(), ids.len() + 6);
+        assert_eq!(&frames[..2], &ids[..]);
+        assert_eq!(frames[2].as_ref(), DELIMITER);
+        for (frame, want) in frames[3..].iter().zip(expected) {
+            assert_eq!(std::str::from_utf8(frame).unwrap(), want);
+        }
+    }
+
+    /// Signature and body frames recorded from the tree-based codec that
+    /// preceded the single-pass writer; the wire must not change.
+    #[test]
+    fn golden_execute_request_frames() {
+        let frames = encode(&golden_identities(), &golden_request(), b"golden-key");
+        assert_frames(
+            &frames,
+            [
+                "dc73c2a102a4c734f48b9dbc697e763e",
+                "{\"date\":1234567,\"msg_id\":\"msg-1\",\"msg_type\":\"execute_request\",\"session\":\"session-7\",\"username\":\"notebookos\",\"version\":\"5.4\"}",
+                "{}",
+                "{\"duration_us\":250000,\"gpu_device_ids\":[0,3],\"kernel_id\":\"kernel-session-7\"}",
+                "{\"code\":\"x = \\\"héllo ☃\\\"\\n\\tprint(x, '\\\\\\\\') # 😀\\u0001\\r\",\"silent\":false,\"stop_on_error\":true,\"store_history\":true}",
+            ],
+        );
+        let (ids, decoded) = decode(&frames, b"golden-key").unwrap();
+        assert_eq!(ids, golden_identities());
+        assert_eq!(decoded, golden_request());
+    }
+
+    #[test]
+    fn golden_execute_reply_frames() {
+        let reply = golden_request().execute_reply("reply-1", ReplyStatus::Ok, 42, true, 1_300_000);
+        let frames = encode(&golden_identities(), &reply, b"golden-key");
+        assert_frames(
+            &frames,
+            [
+                "cd2c21d2ac5b166b51df7d3fa8f82029",
+                "{\"date\":1300000,\"msg_id\":\"reply-1\",\"msg_type\":\"execute_reply\",\"session\":\"session-7\",\"username\":\"notebookos\",\"version\":\"5.4\"}",
+                "{\"date\":1234567,\"msg_id\":\"msg-1\",\"msg_type\":\"execute_request\",\"session\":\"session-7\",\"username\":\"notebookos\",\"version\":\"5.4\"}",
+                "{\"executed\":true}",
+                "{\"execution_count\":42,\"status\":\"ok\"}",
+            ],
+        );
+        let (_, decoded) = decode(&frames, b"golden-key").unwrap();
+        assert_eq!(decoded, reply);
+    }
+
+    proptest! {
+        #[test]
+        fn sign_matches_bytewise_oracle(
+            key in arb_text(16),
+            parts in proptest::collection::vec(arb_text(48), 0..5),
+        ) {
+            let parts: Vec<&[u8]> = parts.iter().map(|p| p.as_bytes()).collect();
+            let fast = sign(key.as_bytes(), &parts);
+            prop_assert_eq!(std::str::from_utf8(&fast).unwrap(), sign_oracle(key.as_bytes(), &parts));
+        }
+
+        #[test]
+        fn encode_matches_tree_codec(
+            code in arb_text(96),
+            session in arb_text(16),
+            kernel in arb_text(16),
+            date in 0u64..(1u64 << 52),
+        ) {
+            let request = JupyterMessage::execute_request("m1", session, code, date)
+                .with_destination(&kernel);
+            let reply = request.execute_reply("r1", ReplyStatus::Error, 7, false, date / 2);
+            for message in [request, reply] {
+                let frames = encode(&[], &message, KEY);
+                let parent = message.parent.as_ref().map_or("{}".to_string(), |p| p.to_json().encode());
+                let body = [
+                    message.header.to_json().encode(),
+                    parent,
+                    message.metadata.encode(),
+                    message.content.encode(),
+                ];
+                let parts: Vec<&[u8]> = body.iter().map(|p| p.as_bytes()).collect();
+                let signature = sign_oracle(KEY, &parts);
+                prop_assert_eq!(frames[1].as_ref(), signature.as_bytes());
+                for (frame, part) in frames[2..].iter().zip(&body) {
+                    prop_assert_eq!(frame.as_ref(), part.as_bytes());
+                }
+                let (_, decoded) = decode(&frames, KEY).expect("round trip");
+                prop_assert_eq!(decoded, message);
+            }
+        }
+    }
 
     fn sample() -> JupyterMessage {
         JupyterMessage::execute_request("m1", "s1", "print(1)", 99)
@@ -178,6 +353,14 @@ mod tests {
         assert_eq!(ids, idents);
         assert_eq!(decoded.header.msg_type, MsgType::ExecuteReply);
         assert_eq!(decoded.parent.as_ref().unwrap().msg_id, "m1");
+    }
+
+    #[test]
+    fn non_finite_metadata_is_sent_as_null() {
+        let mut m = sample();
+        m.metadata = m.metadata.with("load", f64::NAN);
+        let (_, decoded) = decode(&encode(&[], &m, KEY), KEY).expect("receiver accepts it");
+        assert_eq!(decoded.metadata.get("load"), Some(&Json::Null));
     }
 
     #[test]
@@ -217,14 +400,12 @@ mod tests {
     }
 
     #[test]
-    fn signature_is_order_sensitive() {
-        let a = sign(KEY, &[b"ab", b"c"]);
-        let b = sign(KEY, &[b"a", b"bc"]);
-        // Keyed over distinct chunk boundaries must still differ because of
-        // content; equal concatenations are acceptable for FNV, but the key
-        // lane separation keeps distinct keys distinct.
-        assert_eq!(a.len(), 32);
-        assert_eq!(b.len(), 32);
+    fn signature_is_32_hex_digits_and_separates_keys() {
+        let sig = sign(KEY, &[b"ab", b"c"]);
+        assert_eq!(sig.len(), 32);
+        assert!(sig
+            .iter()
+            .all(|d| d.is_ascii_hexdigit() && !d.is_ascii_uppercase()));
         assert_ne!(sign(b"k1", &[b"x"]), sign(b"k2", &[b"x"]));
     }
 }

@@ -75,8 +75,16 @@ proptest! {
 // ---------------------------------------------------------------------
 
 fn arb_code() -> impl Strategy<Value = String> {
-    // Printable payloads including JSON-hostile characters.
-    proptest::string::string_regex("[ -~\n\t]{0,200}").expect("valid regex")
+    // Printable Unicode (ASCII, Latin-1, Greek, CJK, emoji) plus control
+    // characters, quotes and backslashes, so the codec's unescaped runs
+    // start and end at UTF-8 and escape boundaries.
+    let ch = prop_oneof![
+        8 => any::<char>(),
+        2 => (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control character")),
+        1 => Just('"'),
+        1 => Just('\\'),
+    ];
+    proptest::collection::vec(ch, 0..200).prop_map(|cs| cs.into_iter().collect())
 }
 
 proptest! {
